@@ -140,7 +140,7 @@ class AsyncApproximateAgreement(AsyncParty):
                 self.ctx,
                 tag=f"it{iteration}/s{sender}",
                 sender=sender,
-                send=self.api.send,
+                broadcast=self.api.broadcast,
                 on_deliver=lambda value, k=key: self._delivered(k, value),
                 validate=lambda value, r=iteration: _valid_estimate(
                     value, self.value_bound, r

@@ -19,13 +19,21 @@ Model:
   must always pick some pending message, and byzantine injections are
   budget-limited, so no honest message can be starved forever;
 * byzantine parties do not run code; the adversary injects arbitrary
-  messages attributed to them between deliveries;
+  messages attributed to them between deliveries.  Messages *to* them
+  are priced, numbered and shown to the adversary but never pooled:
+  nothing would ever deliver them, and a pool keeping them would grow
+  without bound and be re-filtered on every step;
 * honest parties are reactive objects: ``start()`` once, then
   ``on_message(src, payload)`` per delivery; they may keep processing
   after deciding (required for liveness of e.g. reliable broadcast).
 
 Communication accounting matches the synchronous simulator: every
-honest-sent payload is priced by :func:`repro.sim.sizing.bit_size`.
+honest-sent payload is priced by :func:`repro.sim.sizing.bit_size`
+(once per broadcast, billed once per destination).
+
+The pool is ``scheduler.lanes`` lists in send order (see
+:class:`Scheduler`); a delivery removes its pick with ``list.pop``, a
+memmove over at most a few thousand pointers: O(1) interpreter work.
 """
 
 from __future__ import annotations
@@ -85,11 +93,6 @@ class AsyncContext:
         if not 0 <= self.party_id < self.n:
             raise ConfigurationError("party_id out of range")
 
-    @property
-    def all_parties(self) -> range:
-        """All party ids, ``0..n-1``."""
-        return range(self.n)
-
     def require_resilience(self, denominator: int) -> None:
         """Assert this protocol's ``t < n/denominator`` bound."""
         if denominator * self.t >= self.n:
@@ -121,18 +124,21 @@ class AsyncParty:
         raise NotImplementedError
 
 
-@dataclass
-class _Pending:
-    seq: int
-    src: int
-    dst: int
-    payload: Any
-
-
 class Scheduler:
-    """Delivery policy: picks which pending message is delivered next."""
+    """Delivery policy over the network's pool of deliverable messages.
 
-    def choose(self, pending: list[_Pending]) -> _Pending:
+    The pool is ``lanes`` lists, each in send order.  ``lane_of`` files
+    a message into a lane when it is sent; ``pick(count)`` returns the
+    index of the next delivery within the first non-empty lane, which
+    holds ``count`` messages.
+    """
+
+    lanes = 1
+
+    def lane_of(self, src: int, dst: int) -> int:
+        return 0
+
+    def pick(self, count: int) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -142,46 +148,45 @@ class Scheduler:
 class FifoScheduler(Scheduler):
     """Deliver in send order (the friendliest schedule)."""
 
-    def choose(self, pending: list[_Pending]) -> _Pending:
-        return min(pending, key=lambda m: m.seq)
+    def pick(self, count: int) -> int:
+        return 0
 
 
 class RandomScheduler(Scheduler):
     """Uniformly random pending message (a chaotic but fair schedule)."""
 
     def __init__(self, seed: int = 0) -> None:
+        self.seed = seed
         self.rng = random.Random(seed)
 
-    def choose(self, pending: list[_Pending]) -> _Pending:
-        return self.rng.choice(pending)
+    def pick(self, count: int) -> int:
+        # the one _randbelow(count) draw rng.choice makes: same schedules
+        return self.rng.randrange(count)
 
     def describe(self) -> str:
-        return "RandomScheduler"
+        return f"RandomScheduler(seed={self.seed})"
 
 
-class TargetedDelayScheduler(Scheduler):
+class TargetedDelayScheduler(RandomScheduler):
     """Starve a set of victim parties as long as legally possible.
 
-    Messages to/from victims are delivered only when nothing else is
-    pending -- the classic "slow network partition" attack that async
-    protocols must survive.
+    Messages to/from victims wait in a second lane that is served only
+    when nothing else is pending -- the classic "slow network
+    partition" attack that async protocols must survive.
     """
 
-    def __init__(self, victims: set[int], seed: int = 0) -> None:
-        self.victims = set(victims)
-        self.rng = random.Random(seed)
+    lanes = 2
 
-    def choose(self, pending: list[_Pending]) -> _Pending:
-        preferred = [
-            m
-            for m in pending
-            if m.src not in self.victims and m.dst not in self.victims
-        ]
-        pool = preferred or pending
-        return self.rng.choice(pool)
+    def __init__(self, victims: set[int], seed: int = 0) -> None:
+        super().__init__(seed)
+        self.victims = set(victims)
+
+    def lane_of(self, src: int, dst: int) -> int:
+        return 1 if src in self.victims or dst in self.victims else 0
 
     def describe(self) -> str:
-        return f"TargetedDelayScheduler(victims={sorted(self.victims)})"
+        victims = sorted(self.victims)
+        return f"TargetedDelayScheduler(victims={victims}, seed={self.seed})"
 
 
 class AsyncAdversary:
@@ -202,11 +207,7 @@ class AsyncAdversary:
         return set(range(n - t, n))
 
     def inject(
-        self,
-        step: int,
-        corrupted: set[int],
-        n: int,
-        observed: list[tuple[int, int, Any]],
+        self, step: int, corrupted: frozenset[int], n: int, observed: list
     ) -> list[tuple[int, int, Any]]:
         """Messages to add this step (honest traffic so far is visible)."""
         return []
@@ -260,16 +261,16 @@ class _PartyAPI:
 
     def send(self, dst: int, payload: Any) -> None:
         """Queue one message to ``dst`` (priced immediately)."""
-        self._network._enqueue(self._party_id, dst, payload, honest=True)
+        if 0 <= dst < self._network.n:
+            self._network._send(self._party_id, (dst,), payload)
 
     def broadcast(self, payload: Any) -> None:
-        """Queue ``payload`` to every party."""
-        for dst in range(self._network.n):
-            self.send(dst, payload)
+        """Queue ``payload`` to every party (priced once)."""
+        self._network._send(self._party_id, range(self._network.n), payload)
 
     def decide(self, output: Any) -> None:
         """Record this party's output (processing continues)."""
-        self._network._decide(self._party_id, output)
+        self._network._outputs.setdefault(self._party_id, output)
 
 
 class AsyncNetwork:
@@ -297,7 +298,7 @@ class AsyncNetwork:
             else max_deliveries
         )
 
-        self.corrupted = set(self.adversary.select_corruptions(n, t))
+        self.corrupted = frozenset(self.adversary.select_corruptions(n, t))
         if len(self.corrupted) > t:
             raise ConfigurationError("adversary over-corrupted")
 
@@ -314,7 +315,8 @@ class AsyncNetwork:
         self.quarantine_log: list[tuple[int, int, int, str]] = []
 
         self.stats = CommunicationStats()
-        self._pending: list[_Pending] = []
+        #: deliverable ``(src, dst, payload)`` messages, one list per lane.
+        self._lanes: list[list] = [[] for _ in range(self.scheduler.lanes)]
         self._seq = 0
         self._outputs: dict[int, Any] = {}
         self._observed: list[tuple[int, int, Any]] = []
@@ -330,12 +332,24 @@ class AsyncNetwork:
             self._parties[party] = instance
 
     # -- internals used by _PartyAPI -----------------------------------
-    def _enqueue(
-        self, src: int, dst: int, payload: Any, honest: bool
-    ) -> None:
+    def _send(self, src: int, dsts, payload: Any) -> None:
+        """Price ``payload`` once and queue it to every party in ``dsts``."""
+        count = len(dsts)
+        bits = bit_size(payload) * count
+        self.stats.record_round_sends("async", [(src, bits)], count, bits)
+        self._seq += count
+        lanes, lane_of = self._lanes, self.scheduler.lane_of
+        for dst in dsts:
+            message = (src, dst, payload)
+            if dst not in self.corrupted:
+                lanes[lane_of(src, dst)].append(message)
+            self._observed.append(message)
+
+    def _inject(self, src: int, dst: Any, payload: Any) -> None:
+        """Queue one byzantine message (guarded when guards are on)."""
         if not 0 <= dst < self.n:
             return
-        if not honest and self._guard is not None:
+        if self._guard is not None:
             # Quarantine out-of-bounds byzantine injections before they
             # enter the pending pool (discard + attribute; the count
             # still burns the adversary's injection budget).
@@ -347,14 +361,18 @@ class AsyncNetwork:
                 if len(self.quarantine_log) < 256:
                     self.quarantine_log.append((self._seq, src, dst, reason))
                 return
-        self._pending.append(_Pending(self._seq, src, dst, payload))
         self._seq += 1
-        if honest:
-            self.stats.record_send(src, "async", bit_size(payload))
-            self._observed.append((src, dst, payload))
+        if dst not in self.corrupted:
+            self._lanes[self.scheduler.lane_of(src, dst)].append(
+                (src, dst, payload)
+            )
 
-    def _decide(self, party: int, output: Any) -> None:
-        self._outputs.setdefault(party, output)
+    def _take(self) -> tuple[int, int, Any] | None:
+        """Remove the scheduler's next pick; None when nothing is pooled."""
+        for lane in self._lanes:
+            if lane:
+                return lane.pop(self.scheduler.pick(len(lane)))
+        return None
 
     # -- execution -------------------------------------------------------
     def run(self) -> AsyncResult:
@@ -362,29 +380,28 @@ class AsyncNetwork:
         for party in self._parties.values():
             party.start()
 
-        deliveries = 0
-        step = 0
+        deliveries = step = 0
         while True:
-            if self._all_decided() and not self._pending_for_honest():
+            if not any(self._lanes) and (
+                self._outputs.keys() >= self._parties.keys()
+            ):
                 break
             # byzantine injection (budget-bounded).
             if self._injection_budget > 0:
                 injected = self.adversary.inject(
-                    step, set(self.corrupted), self.n, self._observed
+                    step, self.corrupted, self.n, self._observed
                 )
                 for src, dst, payload in injected[: self._injection_budget]:
                     if src in self.corrupted:
-                        self._enqueue(src, dst, payload, honest=False)
+                        self._inject(src, dst, payload)
                         self._injection_budget -= 1
             step += 1
 
-            deliverable = self._pending_for_honest()
-            if not deliverable:
-                if self._all_decided():
-                    break
-                undecided = sorted(
-                    p for p in self._parties if p not in self._outputs
-                )
+            message = self._take()
+            if message is None:
+                # Injections only add messages, so the pool was empty
+                # at the loop head too, with some party undecided.
+                undecided = sorted(self._parties.keys() - self._outputs.keys())
                 raise SimulationError(
                     "asynchronous deadlock: honest parties "
                     f"{undecided} undecided but no pending messages "
@@ -392,8 +409,6 @@ class AsyncNetwork:
                     stats=self.stats,
                     outputs=dict(self._outputs),
                 )
-            message = self.scheduler.choose(deliverable)
-            self._pending.remove(message)
             deliveries += 1
             if deliveries > self.max_deliveries:
                 raise SimulationError(
@@ -404,22 +419,16 @@ class AsyncNetwork:
                     stats=self.stats,
                     outputs=dict(self._outputs),
                 )
-            receiver = self._parties.get(message.dst)
-            if receiver is not None:
-                receiver.on_message(message.src, message.payload)
+            src, dst, payload = message
+            self._parties[dst].on_message(src, payload)
             self.stats.record_round()  # one scheduler step
 
         return AsyncResult(
             n=self.n,
             t=self.t,
             outputs=dict(self._outputs),
-            corrupted=frozenset(self.corrupted),
+            corrupted=self.corrupted,
             stats=self.stats,
             deliveries=deliveries,
         )
 
-    def _pending_for_honest(self) -> list[_Pending]:
-        return [m for m in self._pending if m.dst not in self.corrupted]
-
-    def _all_decided(self) -> bool:
-        return all(party in self._outputs for party in self._parties)

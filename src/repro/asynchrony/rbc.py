@@ -60,7 +60,8 @@ class BrachaRBC:
         tag: unique instance identifier (conventionally includes the
             sender id, e.g. ``"aa/it3/s5"``).
         sender: the broadcasting party's id.
-        send: callable ``send(dst, payload)`` (the party's API).
+        broadcast: callable ``broadcast(payload)`` queuing one payload
+            to every party (the party's API).
         on_deliver: callback invoked exactly once with the delivered
             value.
         validate: optional predicate on broadcast values; invalid
@@ -73,7 +74,7 @@ class BrachaRBC:
         ctx: AsyncContext,
         tag: str,
         sender: int,
-        send: Callable[[int, Any], None],
+        broadcast: Callable[[Any], None],
         on_deliver: Callable[[Any], None],
         validate: Callable[[Any], bool] | None = None,
     ) -> None:
@@ -81,7 +82,7 @@ class BrachaRBC:
         self.ctx = ctx
         self.tag = tag
         self.sender = sender
-        self._send = send
+        self._broadcast = broadcast
         self._on_deliver = on_deliver
         self._validate = validate or (lambda value: True)
 
@@ -96,12 +97,7 @@ class BrachaRBC:
         """Start the instance (sender only)."""
         if self.ctx.party_id != self.sender:
             raise ValueError("only the designated sender may broadcast")
-        for dst in self.ctx.all_parties:
-            self._send(dst, rbc_message(self.tag, _INIT, value))
-
-    def _send_all(self, kind: str, value: Any) -> None:
-        for dst in self.ctx.all_parties:
-            self._send(dst, rbc_message(self.tag, kind, value))
+        self._broadcast(rbc_message(self.tag, _INIT, value))
 
     # -- receiving ---------------------------------------------------------
     def handle(self, src: int, kind: str, value: Any) -> None:
@@ -117,7 +113,7 @@ class BrachaRBC:
 
         if kind == _INIT and src == self.sender and not self._echoed:
             self._echoed = True
-            self._send_all(_ECHO, value)
+            self._broadcast(rbc_message(self.tag, _ECHO, value))
         elif kind == _ECHO:
             supporters = self._echoes.setdefault(key, set())
             supporters.add(src)
@@ -126,13 +122,13 @@ class BrachaRBC:
                 and not self._readied
             ):
                 self._readied = True
-                self._send_all(_READY, value)
+                self._broadcast(rbc_message(self.tag, _READY, value))
         elif kind == _READY:
             supporters = self._readies.setdefault(key, set())
             supporters.add(src)
             if len(supporters) >= self.ctx.t + 1 and not self._readied:
                 self._readied = True
-                self._send_all(_READY, value)
+                self._broadcast(rbc_message(self.tag, _READY, value))
             if len(supporters) >= 2 * self.ctx.t + 1:
                 self._delivered = True
                 self._on_deliver(value)
@@ -145,8 +141,3 @@ class BrachaRBC:
             return value
         except TypeError:
             return repr(value)
-
-    @property
-    def delivered(self) -> bool:
-        """Whether this instance has delivered its value."""
-        return self._delivered

@@ -40,9 +40,11 @@ from . import config, counters
 
 __all__ = [
     "QUICK_CONFIGS",
+    "ASYNC_CONFIGS",
     "FULL_CONFIGS",
     "COMPARISON_CONFIG",
     "SCHED_BATTERY",
+    "async_key",
     "backend_comparison",
     "config_key",
     "hotpath_document",
@@ -105,11 +107,34 @@ _SCHED_KEY = (
 )
 
 
+#: The async event-loop battery: asynchronous AA on
+#: :class:`~repro.asynchrony.network.AsyncNetwork` under the two seeded
+#: schedulers.  Deliveries (recorded as ``rounds``: one scheduler step
+#: each), honest bits, messages and the output digest are pure
+#: functions of the config.  The first three do not depend on the
+#: schedule, so the digest also folds in how many honest sends preceded
+#: each step, which pins the loop's delivery schedule.  Rides in both the quick and the full
+#: battery (explicit ``configs`` runs stay as given).
+ASYNC_CONFIGS: tuple[dict[str, Any], ...] = (
+    dict(protocol="async_aa", n=6, t=1, scheduler="random", seed=1),
+    dict(protocol="async_aa", n=6, t=1, scheduler="delay0", seed=1),
+    dict(protocol="async_aa", n=11, t=2, scheduler="random", seed=13),
+)
+
+
 def config_key(cfg: dict[str, Any]) -> str:
     """Stable human-readable id for one profiled config."""
     return (
         f"{cfg['protocol']}/n{cfg['n']}/t{cfg['t']}/ell{cfg['ell']}"
         f"/seed{cfg['seed']}/{cfg['spread']}"
+    )
+
+
+def async_key(cfg: dict[str, Any]) -> str:
+    """Stable id for one async battery config."""
+    return (
+        f"{cfg['protocol']}/n{cfg['n']}/t{cfg['t']}/{cfg['scheduler']}"
+        f"/seed{cfg['seed']}"
     )
 
 
@@ -144,6 +169,59 @@ def _run_config(cfg: dict[str, Any]) -> tuple[dict[str, Any], float]:
         "rounds": m.rounds,
         "messages": m.messages,
         "output_sha256": _output_digest(m.output),
+    }
+    return entry, wall_s
+
+
+def _run_async_config(cfg: dict[str, Any]) -> tuple[dict[str, Any], float]:
+    """Run one async AA config (spread inputs, eps 1); entry + wall."""
+    from ..asynchrony import (
+        AsyncAdversary,
+        AsyncApproximateAgreement,
+        AsyncNetwork,
+        RandomScheduler,
+        TargetedDelayScheduler,
+    )
+
+    class SendTrace(AsyncAdversary):
+        """Passive; records the honest sends seen before each step."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.sends: list[int] = []
+
+        def inject(self, step, corrupted, n, observed):
+            self.sends.append(len(observed))
+            return []
+
+    n, seed = cfg["n"], cfg["seed"]
+    trace = SendTrace()
+    scheduler = (
+        RandomScheduler(seed) if cfg["scheduler"] == "random"
+        else TargetedDelayScheduler({0}, seed)
+    )
+    inputs = [37 * party for party in range(n)]
+    counters.reset()
+    started = time.perf_counter()
+    result = AsyncNetwork(
+        lambda ctx: AsyncApproximateAgreement(
+            ctx, inputs[ctx.party_id], 1, 1 << 16
+        ),
+        n=n,
+        t=cfg["t"],
+        scheduler=scheduler,
+        adversary=trace,
+    ).run()
+    wall_s = time.perf_counter() - started
+    entry = {
+        "params": dict(cfg),
+        "counters": counters.snapshot(),
+        "bits": result.stats.honest_bits,
+        "rounds": result.deliveries,
+        "messages": result.stats.honest_messages,
+        "output_sha256": _output_digest(
+            (sorted(result.outputs.items()), trace.sends)
+        ),
     }
     return entry, wall_s
 
@@ -303,11 +381,17 @@ def hotpath_document(
             deterministic[key] = entry
             wall[key] = round(wall_s, 6)
         if configs is None:
-            # The scheduler micro-battery rides in both the quick and
-            # the full battery (explicit --configs runs stay as given).
+            # The scheduler micro-battery and the async battery ride in
+            # both the quick and the full battery (explicit --configs
+            # runs stay as given).
             entry, wall_s = _run_sched_battery()
             deterministic[_SCHED_KEY] = entry
             wall[_SCHED_KEY] = round(wall_s, 6)
+            for cfg in ASYNC_CONFIGS:
+                key = async_key(cfg)
+                entry, wall_s = _run_async_config(cfg)
+                deterministic[key] = entry
+                wall[key] = round(wall_s, 6)
         timing: dict[str, Any] = {
             "wall_s": wall,
             "backend": battery_backend,

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asynchrony import (
     AsyncAdversary,
@@ -19,7 +25,8 @@ from repro.asynchrony import (
     rbc_message,
 )
 from repro.asynchrony.network import GarbageAsyncAdversary
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.wire import WireLimits
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +54,17 @@ SCHEDULERS = [
     RandomScheduler(seed=3),
     TargetedDelayScheduler({0}, seed=3),
 ]
+#: Parameter ids (the schedulers' names, without their seeds).
+SCHEDULER_IDS = [
+    "FifoScheduler",
+    "RandomScheduler",
+    "TargetedDelayScheduler(victims=[0])",
+]
 
 
 class TestAsyncNetwork:
     @pytest.mark.parametrize(
-        "scheduler", SCHEDULERS, ids=lambda s: s.describe()
+        "scheduler", SCHEDULERS, ids=SCHEDULER_IDS
     )
     def test_delivery_and_decision(self, scheduler):
         net = AsyncNetwork(
@@ -92,6 +105,16 @@ class TestAsyncNetwork:
         result = net.run()
         assert set(result.outputs) == {0, 1, 2}
 
+    def test_budget_error_names_scheduler_seed(self):
+        with pytest.raises(SimulationError, match=r"RandomScheduler\(seed=7\)"):
+            AsyncNetwork(
+                lambda ctx: EchoOnce(ctx, 1), n=4, t=1,
+                scheduler=RandomScheduler(7), max_deliveries=2,
+            ).run()
+        assert TargetedDelayScheduler({0}, seed=5).describe() == (
+            "TargetedDelayScheduler(victims=[0], seed=5)"
+        )
+
     def test_context_validation(self):
         with pytest.raises(ConfigurationError):
             AsyncContext(party_id=0, n=4, t=4)
@@ -117,7 +140,7 @@ class RbcHarness(AsyncParty):
 
     def start(self):
         self.rbc = BrachaRBC(
-            self.ctx, "test", self.sender, self.api.send,
+            self.ctx, "test", self.sender, self.api.broadcast,
             on_deliver=self.api.decide,
         )
         if self.ctx.party_id == self.sender:
@@ -133,7 +156,7 @@ class RbcHarness(AsyncParty):
 
 class TestBrachaRBC:
     @pytest.mark.parametrize(
-        "scheduler", SCHEDULERS, ids=lambda s: s.describe()
+        "scheduler", SCHEDULERS, ids=SCHEDULER_IDS
     )
     def test_validity_honest_sender(self, scheduler):
         net = AsyncNetwork(
@@ -193,7 +216,7 @@ class TestBrachaRBC:
         class ValidatingHarness(RbcHarness):
             def start(self):
                 self.rbc = BrachaRBC(
-                    self.ctx, "test", 0, self.api.send,
+                    self.ctx, "test", 0, self.api.broadcast,
                     on_deliver=self.api.decide,
                     validate=lambda v: isinstance(v, int),
                 )
@@ -206,14 +229,14 @@ class TestBrachaRBC:
 
     def test_only_sender_may_broadcast(self):
         ctx = AsyncContext(party_id=1, n=4, t=1)
-        rbc = BrachaRBC(ctx, "x", 0, lambda d, p: None, lambda v: None)
+        rbc = BrachaRBC(ctx, "x", 0, lambda p: None, lambda v: None)
         with pytest.raises(ValueError):
             rbc.broadcast("value")
 
     def test_requires_one_third(self):
         ctx = AsyncContext(party_id=0, n=3, t=1)
         with pytest.raises(ConfigurationError):
-            BrachaRBC(ctx, "x", 0, lambda d, p: None, lambda v: None)
+            BrachaRBC(ctx, "x", 0, lambda p: None, lambda v: None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +268,7 @@ def check_async_aa(inputs, result, epsilon):
 
 class TestAsyncAA:
     @pytest.mark.parametrize(
-        "scheduler", SCHEDULERS, ids=lambda s: s.describe()
+        "scheduler", SCHEDULERS, ids=SCHEDULER_IDS
     )
     def test_eps_agreement_n6_t1(self, scheduler):
         inputs = [0, 100, 200, 300, 400, 500]
@@ -337,3 +360,211 @@ class TestAsyncAA:
         # eps larger than the whole range: parties decide immediately.
         for p, out in result.outputs.items():
             assert out == inputs[p]
+
+
+# ---------------------------------------------------------------------------
+# Event-loop byte identity: goldens captured on the filtered-pending-list
+# loop that the deliverable pool replaced
+# ---------------------------------------------------------------------------
+
+#: (n, t) -> (inputs, eps, honest bits, honest messages, outputs digest);
+#: all three are schedule-independent for these inputs.
+GOLDEN_SHAPES = {
+    (6, 1): ([100 * i for i in range(6)], 1, 184734, 5610,
+             "94dd582fd2ef9e9f"),
+    (11, 2): ([37 * i for i in range(11)], 2, 991287, 30096,
+              "7a03ae9ff851d73d"),
+}
+GOLDEN_SCHEDULERS = {
+    "fifo": FifoScheduler,
+    "random": lambda: RandomScheduler(5),
+    "delay0": lambda: TargetedDelayScheduler({0}, 5),
+}
+GOLDEN_ADVERSARIES = {
+    "passive": dict,
+    "garbage": lambda: dict(
+        adversary=GarbageAsyncAdversary(budget=100, seed=3), guards=True
+    ),
+    # limits tight enough that most injections are quarantined, so the
+    # log pins the sequence numbers (which count messages to corrupted
+    # parties too).
+    "garbage_tight": lambda: dict(
+        adversary=GarbageAsyncAdversary(budget=100, seed=3),
+        guards=WireLimits(max_message_bits=24, max_depth=1),
+    ),
+}
+#: (n, t, scheduler, adversary) -> (deliveries, delivery-order digest,
+#: quarantined count, quarantine_log digest).
+GOLDEN = {
+    (6, 1, "fifo", "passive"):
+        (4675, "664d0fbc2fd992f1", 0, "4f53cda18c2baa0c"),
+    (6, 1, "fifo", "garbage"):
+        (4756, "d79d45dffcc1ea3c", 0, "4f53cda18c2baa0c"),
+    (6, 1, "fifo", "garbage_tight"):
+        (4741, "f62a02ed7e26ba39", 17, "bcd7a219d2e807df"),
+    (6, 1, "random", "passive"):
+        (4675, "6b0ad7ace83420d1", 0, "4f53cda18c2baa0c"),
+    (6, 1, "random", "garbage"):
+        (4756, "5fb67b7e6ef8779a", 0, "4f53cda18c2baa0c"),
+    (6, 1, "random", "garbage_tight"):
+        (4741, "afd2ab77079dcd0a", 17, "0e15c009e7401deb"),
+    (6, 1, "delay0", "passive"):
+        (4675, "eeb82076f304ab87", 0, "4f53cda18c2baa0c"),
+    (6, 1, "delay0", "garbage"):
+        (4756, "4ece0e11ac5f3aa1", 0, "4f53cda18c2baa0c"),
+    (6, 1, "delay0", "garbage_tight"):
+        (4741, "3a70fd0f2aa66a35", 17, "44675d273fede0f5"),
+    (11, 2, "fifo", "passive"):
+        (24624, "a3be2a3e291ea138", 0, "4f53cda18c2baa0c"),
+    (11, 2, "fifo", "garbage"):
+        (24696, "c52469faa39703ad", 0, "4f53cda18c2baa0c"),
+    (11, 2, "fifo", "garbage_tight"):
+        (24681, "4337f3f1eaf27ded", 18, "1e138caf63a19d58"),
+    (11, 2, "random", "passive"):
+        (24624, "cb919a12d1764464", 0, "4f53cda18c2baa0c"),
+    (11, 2, "random", "garbage"):
+        (24696, "9ee2ca21a9655693", 0, "4f53cda18c2baa0c"),
+    (11, 2, "random", "garbage_tight"):
+        (24681, "d125a7c7c0fc7f98", 18, "a7096334b3f9ef3f"),
+    (11, 2, "delay0", "passive"):
+        (24624, "7c9a4e4764c0cbe1", 0, "4f53cda18c2baa0c"),
+    (11, 2, "delay0", "garbage"):
+        (24696, "c84ff3a5d1b750fc", 0, "4f53cda18c2baa0c"),
+    (11, 2, "delay0", "garbage_tight"):
+        (24681, "abb2c6e86f8a95e1", 18, "dc05600ee99dd10c"),
+}
+
+
+def _short_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class RecordingAA(AsyncApproximateAgreement):
+    """Async AA that hashes every delivery, in delivery order."""
+
+    def __init__(self, ctx, v_in, epsilon, log):
+        super().__init__(ctx, v_in, epsilon, BOUND)
+        self._log = log
+
+    def on_message(self, src, payload):
+        self._log.update(f"{self.ctx.party_id}<{src}:{payload!r};".encode())
+        super().on_message(src, payload)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN), ids=lambda case: "/".join(map(str, case))
+)
+def test_event_loop_matches_golden(case):
+    n, t, scheduler, adversary = case
+    inputs, eps, bits, messages, outputs = GOLDEN_SHAPES[(n, t)]
+    log = hashlib.sha256()
+    net = AsyncNetwork(
+        lambda ctx: RecordingAA(ctx, inputs[ctx.party_id], eps, log),
+        n=n, t=t, scheduler=GOLDEN_SCHEDULERS[scheduler](),
+        **GOLDEN_ADVERSARIES[adversary](),
+    )
+    result = net.run()
+    assert (result.stats.honest_bits, result.stats.honest_messages) == (
+        bits, messages
+    )
+    assert _short_digest(repr(sorted(result.outputs.items())).encode()) == (
+        outputs
+    )
+    assert (
+        result.deliveries,
+        log.hexdigest()[:16],
+        len(net.quarantine_log),
+        _short_digest(repr(net.quarantine_log).encode()),
+    ) == GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# The deliverable pool against the seed's choose() as a reference model
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SeedPending:
+    """The seed's pool entry: every message sent, in send order."""
+
+    seq: int
+    src: int
+    dst: int
+    payload: Any
+
+
+def seed_choose(kind, rng, victims, pending):
+    """The seed's ``Scheduler.choose`` for each scheduler kind."""
+    if kind == "fifo":
+        return min(pending, key=lambda m: m.seq)
+    if kind == "random":
+        return rng.choice(pending)
+    preferred = [
+        m for m in pending if m.src not in victims and m.dst not in victims
+    ]
+    return rng.choice(preferred or pending)
+
+
+class Sink(AsyncParty):
+    def on_message(self, src, payload):
+        pass
+
+
+POOL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "broadcast", "pop"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["fifo", "random", "delay"]),
+    n=st.integers(4, 8),
+    seed=st.integers(0, 2**16),
+    victims=st.sets(st.integers(0, 7), max_size=3),
+    ops=POOL_OPS,
+)
+def test_pool_pops_like_seed_choose(kind, n, seed, victims, ops):
+    scheduler = {
+        "fifo": FifoScheduler,
+        "random": lambda: RandomScheduler(seed),
+        "delay": lambda: TargetedDelayScheduler(victims, seed),
+    }[kind]()
+    net = AsyncNetwork(Sink, n=n, t=(n - 1) // 3, scheduler=scheduler)
+    rng = random.Random(seed)
+    pending: list[SeedPending] = []
+    sent = 0
+
+    def pop():
+        deliverable = [m for m in pending if m.dst not in net.corrupted]
+        taken = net._take()
+        if not deliverable:
+            assert taken is None
+            return False
+        expected = seed_choose(kind, rng, victims, deliverable)
+        pending.remove(expected)
+        assert taken == (expected.src, expected.dst, expected.payload)
+        return True
+
+    for index, (op, a, b) in enumerate(ops):
+        if op == "pop":
+            pop()
+            continue
+        src = a % n
+        dsts = range(n) if op == "broadcast" else (b % n,)
+        payload = ("op", index)
+        for dst in dsts:
+            pending.append(SeedPending(sent, src, dst, payload))
+            sent += 1
+        if src in net.corrupted:
+            for dst in dsts:
+                net._inject(src, dst, payload)
+        else:
+            net._send(src, dsts, payload)
+    while pop():
+        pass
+    assert net._seq == sent

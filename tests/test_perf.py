@@ -18,6 +18,7 @@ Two contracts under test:
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +30,14 @@ from repro.crypto import merkle
 from repro.errors import CodingError
 from repro.perf import config, counters
 from repro.perf.profile import (
+    ASYNC_CONFIGS,
     QUICK_CONFIGS,
+    _run_async_config,
+    async_key,
     check_counters,
     config_key,
     hotpath_document,
+    load_document,
 )
 from repro.sim.adversary import RandomGarbageAdversary
 from repro.sim.party import Context
@@ -329,3 +334,19 @@ def test_check_counters_flags_regressions_and_improvements():
     improved, notes = check_counters(doc, worse)
     assert improved == []
     assert any("sha256 improved" in n for n in notes)
+
+
+def test_async_entry_matches_committed_baseline():
+    baseline = load_document(
+        str(Path(__file__).resolve().parent.parent
+            / "benchmarks" / "BENCH_hotpath.json")
+    )
+    cfg = ASYNC_CONFIGS[0]
+    key = async_key(cfg)
+    entry, _ = _run_async_config(cfg)
+    assert entry == baseline["deterministic"][key]
+    shifted = {"deterministic": {
+        key: {**entry, "rounds": entry["rounds"] + 1}
+    }}
+    errors, _ = check_counters(shifted, baseline)
+    assert any("rounds changed" in e for e in errors)
