@@ -8,7 +8,7 @@ that axis: how many ``FixedLengthCA`` instances per second each
 dispatch strategy sustains over fleets of ``n in {4, 7}`` small-``ell``
 executions.
 
-Three strategies over the same fleet:
+Two strategies over the same fleet:
 
 * ``per_call``   -- one-instance-per-call dispatch: every instance pays
   a fresh cold single-worker process (``spawn`` start method:
@@ -17,22 +17,20 @@ Three strategies over the same fleet:
   artifact replay, a CI job per grid point -- which ``fork``-from-a-
   warm-parent would hide behind copy-on-write.
 * ``chunked``    -- one :func:`repro.sim.parallel.run_many` call for
-  the whole fleet (``multiplex=1``): pool/dispatch overhead amortised,
-  instances still executed one-at-a-time.
-* ``multiplexed`` -- one ``run_many(..., multiplex=K)`` call: the
-  cooperative scheduler (:mod:`repro.sim.multiplex`) steps ``K``
-  instances round-by-round per interpreter loop.
+  the whole fleet: pool/dispatch overhead amortised, instances executed
+  one at a time.
+
+Their ratio measures pool/spawn amortisation, not the simulator.
 
 The emitted ``BENCH_throughput.json`` has the same two-section shape as
 ``BENCH_hotpath.json``:
 
 * ``deterministic`` -- per-fleet counters (including the ``sched_*``
-  family) captured from an in-process serial pass and an in-process
-  multiplexed pass that must agree byte for byte; gated at zero
+  family) captured from an in-process serial pass; gated at zero
   tolerance by ``--check`` (reusing
   :func:`repro.perf.profile.check_counters`).
 * ``timing`` -- instances/sec per strategy plus the
-  multiplexed-over-per-call speedup.  Machine-local; never gated.
+  chunked-over-per-call speedup.  Machine-local; never gated.
 
 Usage::
 
@@ -96,45 +94,11 @@ def _fleet_key(fleet: dict[str, Any]) -> str:
 
 
 def _deterministic_entry(fleet: dict[str, Any]) -> dict[str, Any]:
-    """Serial vs multiplexed in-process passes; one gated entry.
+    """An in-process serial pass over the fleet; one gated entry."""
+    from repro.perf.profile import fleet_entry
 
-    Mirrors the ``repro profile`` scheduler micro-battery: the entry's
-    counters are the multiplexed pass', and serial/multiplexed
-    divergence is folded into the output digest so the zero-tolerance
-    check catches it.
-    """
-    from repro.analysis.experiments import measure_case
-    from repro.perf import config, counters
-    from repro.perf.profile import _output_digest
-    from repro.sim.parallel import run_many
-
-    jobs = _jobs(fleet, DETERMINISTIC_INSTANCES)
-    config.reset_process_caches()
-    counters.reset()
-    serial = [o.value for o in run_many(measure_case, jobs)]
-    serial_counts = counters.snapshot()
-    config.reset_process_caches()
-    counters.reset()
-    muxed = [
-        o.value
-        for o in run_many(
-            measure_case, jobs, multiplex=DETERMINISTIC_INSTANCES
-        )
-    ]
-    mux_counts = counters.snapshot()
-    identical = serial == muxed and serial_counts == mux_counts
-    digest_material = (
-        [_output_digest(m.output) for m in muxed],
-        "identical" if identical else "DIVERGED",
-    )
-    return {
-        "params": dict(fleet, instances=DETERMINISTIC_INSTANCES),
-        "counters": mux_counts,
-        "bits": sum(m.bits for m in muxed),
-        "rounds": sum(m.rounds for m in muxed),
-        "messages": sum(m.messages for m in muxed),
-        "output_sha256": _output_digest(digest_material),
-    }
+    entry = fleet_entry(_jobs(fleet, DETERMINISTIC_INSTANCES))
+    return {"params": dict(fleet, instances=DETERMINISTIC_INSTANCES), **entry}
 
 
 def _time_per_call(jobs: list[dict[str, Any]], sample: int) -> dict:
@@ -172,13 +136,13 @@ def _time_per_call(jobs: list[dict[str, Any]], sample: int) -> dict:
     }
 
 
-def _time_engine(jobs: list[dict[str, Any]], multiplex: int) -> dict:
-    """One engine call for the whole fleet (chunked or multiplexed)."""
+def _time_chunked(jobs: list[dict[str, Any]]) -> dict:
+    """One engine call for the whole fleet."""
     from repro.analysis.experiments import measure_case
     from repro.sim.parallel import run_many
 
     started = time.perf_counter()
-    outcomes = run_many(measure_case, jobs, multiplex=multiplex)
+    outcomes = run_many(measure_case, jobs)
     wall_s = time.perf_counter() - started
     failed = [o for o in outcomes if not o.ok]
     if failed:
@@ -192,9 +156,7 @@ def _time_engine(jobs: list[dict[str, Any]], multiplex: int) -> dict:
     }
 
 
-def build_document(
-    quick: bool, multiplex: int, per_call_sample: int
-) -> dict[str, Any]:
+def build_document(quick: bool, per_call_sample: int) -> dict[str, Any]:
     """Run the battery and assemble the benchmark document."""
     from repro.perf import config
 
@@ -208,21 +170,14 @@ def build_document(
         ] = _deterministic_entry(fleet)
         jobs = _jobs(fleet, instances)
         per_call = _time_per_call(jobs, per_call_sample)
-        chunked = _time_engine(jobs, multiplex=1)
-        muxed = _time_engine(jobs, multiplex=multiplex)
+        chunked = _time_chunked(jobs)
         fleets[key] = {
             "instances": instances,
             "per_call": per_call,
             "chunked": chunked,
-            "multiplexed": muxed,
-            "speedup_multiplexed_over_per_call": round(
-                muxed["instances_per_s"]
+            "speedup_chunked_over_per_call": round(
+                chunked["instances_per_s"]
                 / max(per_call["instances_per_s"], 1e-9),
-                2,
-            ),
-            "speedup_multiplexed_over_chunked": round(
-                muxed["instances_per_s"]
-                / max(chunked["instances_per_s"], 1e-9),
                 2,
             ),
         }
@@ -232,7 +187,6 @@ def build_document(
         "deterministic": deterministic,
         "timing": {
             "backend": config.backend(),
-            "multiplex": multiplex,
             "python": platform.python_version(),
             "platform": platform.platform(),
             "fleets": fleets,
@@ -248,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", choices=["python", "numpy"],
                         default=None,
                         help="pin the kernel backend for the battery")
-    parser.add_argument("--multiplex", type=int, default=16,
-                        help="cooperative instances per interpreter loop "
-                             "in the multiplexed strategy")
     parser.add_argument("--per-call-sample", type=int,
                         default=PER_CALL_SAMPLE,
                         help="instances sampled for the per-call strategy")
@@ -271,9 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend is not None:
         config.set_backend(args.backend)
 
-    document = build_document(
-        args.quick, args.multiplex, args.per_call_sample
-    )
+    document = build_document(args.quick, args.per_call_sample)
     mode = "quick" if args.quick else "full"
     print(f"throughput battery ({mode}, backend={config.backend()}):")
     for key, fleet in document["timing"]["fleets"].items():
@@ -281,8 +230,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  {key:<36}"
             f" per_call {fleet['per_call']['instances_per_s']:>8.2f}/s"
             f"  chunked {fleet['chunked']['instances_per_s']:>8.2f}/s"
-            f"  multiplexed {fleet['multiplexed']['instances_per_s']:>8.2f}/s"
-            f"  ({fleet['speedup_multiplexed_over_per_call']:.2f}x over"
+            f"  ({fleet['speedup_chunked_over_per_call']:.2f}x over"
             " per-call)"
         )
 

@@ -94,22 +94,18 @@ def run_grid(
     spec: GridSpec,
     workers: int | str | None = 1,
     timeout_s: float | None = None,
-    multiplex: int = 1,
 ) -> tuple[list[Measurement], float]:
     """Execute every grid point; returns ``(measurements, wall_s)``.
 
     Measurements come back in the spec's row-major job order.  A grid
     point that fails (crash, timeout, protocol exception) aborts the
     sweep with a :class:`RuntimeError` naming the point -- a sweep with
-    holes would silently skew fitted exponents.  ``multiplex=K``
-    interleaves K grid points per interpreter loop
-    (:mod:`repro.sim.multiplex`); measurements stay byte-identical.
+    holes would silently skew fitted exponents.
     """
     jobs = spec.jobs()
     start = time.perf_counter()
     outcomes = run_many(
-        measure_case, jobs, workers=workers, timeout_s=timeout_s,
-        multiplex=multiplex,
+        measure_case, jobs, workers=workers, timeout_s=timeout_s
     )
     wall_s = time.perf_counter() - start
     failed = [o for o in outcomes if not o.ok]

@@ -38,9 +38,9 @@ explicit selection so the next :func:`backend` call re-reads the
 environment (the "per-process reset" used by worker pools and tests).
 
 Not gated (pure code paths, not state): the memoized ``wire_bits`` on
-frozen message dataclasses and the zero-fault network fast path -- those
-compute the same values through cheaper code, so there is nothing to
-switch off.
+frozen message dataclasses and the network's skipped adversary stage --
+those compute the same values through cheaper code, so there is nothing
+to switch off.
 """
 
 from __future__ import annotations

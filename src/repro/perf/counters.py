@@ -22,9 +22,8 @@ counter               bumped by
 ``encode_cache_miss`` the corresponding cold computations
 ``net_rounds``        synchronous rounds the network delivered
 ``net_messages``      payloads placed in inboxes (honest + byzantine)
-``sched_instances``   protocol executions the lockstep scheduler armed
-                      (one per :meth:`SynchronousNetwork.begin`,
-                      whether driven serially or multiplexed)
+``sched_instances``   protocol executions the lockstep scheduler started
+                      (one per :meth:`SynchronousNetwork.run`)
 ``sched_rounds``      scheduler round-loop iterations that executed a
                       round (including rounds where every generator
                       terminated and no traffic flowed, which

@@ -47,6 +47,7 @@ __all__ = [
     "async_key",
     "backend_comparison",
     "config_key",
+    "fleet_entry",
     "hotpath_document",
     "check_counters",
     "save_document",
@@ -56,7 +57,7 @@ __all__ = [
 SCHEMA = "repro-hotpath-bench-v1"
 
 #: CI-sized configs: a few seconds total, still exercising every hot
-#: subsystem (RS, Merkle, GF, fast-path network, FindPrefix loop).
+#: subsystem (RS, Merkle, GF, lockstep network, FindPrefix loop).
 QUICK_CONFIGS: tuple[dict[str, Any], ...] = (
     dict(protocol="fixed_length_ca", n=4, t=1, ell=256,
          seed=0, spread="spread"),
@@ -88,20 +89,17 @@ COMPARISON_CONFIG: dict[str, Any] = dict(
 )
 
 
-#: The scheduler micro-battery: a fleet of small instances run twice in
-#: this process -- once serially, once through the cooperative
-#: multiplex scheduler -- with the multiplexed counters (including the
-#: ``sched_*`` family) recorded as a deterministic entry.  Serial and
-#: multiplexed passes must agree byte for byte; a divergence perturbs
-#: the entry's output digest, so the zero-tolerance ``--check`` gate
-#: catches scheduler regressions alongside kernel ones.
+#: The scheduler micro-battery: a fleet of small instances run serially
+#: in this process, recorded as one deterministic entry whose counters
+#: include the ``sched_*`` family, so the zero-tolerance ``--check``
+#: gate catches scheduler regressions alongside kernel ones.
 SCHED_BATTERY: dict[str, Any] = dict(
     protocol="fixed_length_ca", n=4, t=1, ell=64,
     spread="clustered", instances=8,
 )
 
 _SCHED_KEY = (
-    f"sched/multiplex/{SCHED_BATTERY['protocol']}"
+    f"sched/fleet/{SCHED_BATTERY['protocol']}"
     f"/n{SCHED_BATTERY['n']}/t{SCHED_BATTERY['t']}"
     f"/ell{SCHED_BATTERY['ell']}/x{SCHED_BATTERY['instances']}"
 )
@@ -226,19 +224,31 @@ def _run_async_config(cfg: dict[str, Any]) -> tuple[dict[str, Any], float]:
     return entry, wall_s
 
 
-def _run_sched_battery() -> tuple[dict[str, Any], float]:
-    """Run the scheduler micro-battery; one deterministic entry.
+def fleet_entry(jobs: list[dict[str, Any]]) -> dict[str, Any]:
+    """Run ``measure_case`` jobs serially in-process; one gated entry.
 
-    Both passes stay in-process (``workers=1``) so their counters land
-    in this interpreter's ledger; the entry's counters are the
-    multiplexed pass', and the serial pass' counters plus measurements
-    are folded into the output digest -- equal passes hash like a
-    single stable run, a divergence changes the digest and fails the
-    zero-tolerance check.
+    The fleet stays in this interpreter (``workers=1``) so its counters,
+    the ``sched_*`` family included, land in this process' ledger.
     """
     from ..analysis.experiments import measure_case
     from ..sim.parallel import run_many
 
+    config.reset_process_caches()
+    counters.reset()
+    fleet = [outcome.value for outcome in run_many(measure_case, jobs)]
+    return {
+        "counters": counters.snapshot(),
+        "bits": sum(m.bits for m in fleet),
+        "rounds": sum(m.rounds for m in fleet),
+        "messages": sum(m.messages for m in fleet),
+        "output_sha256": _output_digest(
+            [_output_digest(m.output) for m in fleet]
+        ),
+    }
+
+
+def _run_sched_battery() -> tuple[dict[str, Any], float]:
+    """Run the scheduler micro-battery; one deterministic entry."""
     battery = SCHED_BATTERY
     jobs = [
         dict(
@@ -248,34 +258,9 @@ def _run_sched_battery() -> tuple[dict[str, Any], float]:
         for seed in range(battery["instances"])
     ]
     started = time.perf_counter()
-    config.reset_process_caches()
-    counters.reset()
-    serial = [outcome.value for outcome in run_many(measure_case, jobs)]
-    serial_counts = counters.snapshot()
-    config.reset_process_caches()
-    counters.reset()
-    muxed = [
-        outcome.value
-        for outcome in run_many(
-            measure_case, jobs, multiplex=battery["instances"]
-        )
-    ]
-    mux_counts = counters.snapshot()
+    entry = fleet_entry(jobs)
     wall_s = time.perf_counter() - started
-    identical = serial == muxed and serial_counts == mux_counts
-    digest_material = (
-        [_output_digest(m.output) for m in muxed],
-        "identical" if identical else "DIVERGED",
-    )
-    entry = {
-        "params": dict(battery),
-        "counters": mux_counts,
-        "bits": sum(m.bits for m in muxed),
-        "rounds": sum(m.rounds for m in muxed),
-        "messages": sum(m.messages for m in muxed),
-        "output_sha256": _output_digest(digest_material),
-    }
-    return entry, wall_s
+    return {"params": dict(battery), **entry}, wall_s
 
 
 def _hotspots(cfg: dict[str, Any], top: int) -> list[dict[str, Any]]:

@@ -1447,7 +1447,6 @@ def fuzz(
     crash: bool = False,
     partition: bool = False,
     bombs: bool = False,
-    multiplex: int = 1,
 ) -> FuzzReport:
     """Run a chaos campaign of ``runs`` sampled configurations.
 
@@ -1484,14 +1483,6 @@ def fuzz(
     (a module-level callable returning the registry -- the specs
     themselves hold closures and do not pickle).  Passing a bare
     ``registry`` object without a builder forces serial execution.
-
-    ``multiplex`` is forwarded to the execution engine.  Fuzz cases
-    manage several executions internally (shrinking, replay), so the
-    campaign worker declares no opener and the engine keeps the
-    sequential per-case path; the parameter exists so campaign
-    configurations stay uniform with sweeps and benchmarks, and so the
-    determinism suite can pin ``fuzz(..., multiplex=K)`` byte-identical
-    to a serial campaign.
     """
     if registry is None:
         builder = registry_builder or standard_registry
@@ -1539,7 +1530,6 @@ def fuzz(
             workers=worker_count,
             timeout_s=case_timeout_s,
             retries=1,
-            multiplex=multiplex,
         )
         outcomes = [outcome.value for outcome in collected]
         report.retries = sum(outcome.retries for outcome in collected)

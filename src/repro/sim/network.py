@@ -3,7 +3,8 @@
 Implements the paper's model (Section 2): ``n`` parties in a fully
 connected network of authenticated channels, synchronized clocks, and
 guaranteed delivery within one round.  Protocol executions proceed in
-lockstep rounds:
+lockstep rounds, all driven by one loop (:meth:`SynchronousNetwork.
+_run_round`):
 
 1. every running party's generator is resumed with last round's inbox and
    yields its outgoing messages,
@@ -13,6 +14,15 @@ lockstep rounds:
 4. online :class:`~repro.sim.invariants.InvariantMonitor`s (if attached)
    observe the round record and may raise
    :class:`~repro.errors.ProtocolViolation`.
+
+Steps 2 and 4 and the resilience planes below are *stages* armed once
+per execution: the adversary stage (RoundView, ``deliver``, wire guard,
+``adapt``, crash requests), the transport, the recovery plane and the
+RoundRecord stage.  A stage that is not armed costs one flag test per
+round.  The adversary stage is skipped when it cannot change anything:
+the exact :class:`~repro.sim.adversary.PassiveAdversary` with no
+transport and no crash plane, whose corrupted parties' spec messages
+are then delivered as yielded.
 
 Authenticated channels mean the receiver always learns the true sender
 identity -- the simulator enforces this by construction (the adversary can
@@ -80,9 +90,13 @@ ProtocolFactory = Callable[[Context, Any], Proto[Any]]
 #: exact totals, the ledger keeps the first offenders for attribution.
 _QUARANTINE_LOG_CAP = 256
 
-#: Sentinel for the fast path's payload-sizing memo: distinct from every
+#: Sentinel for the broadcast payload-sizing memo: distinct from every
 #: real payload (including ``None``, the protocols' bottom symbol).
 _NO_PAYLOAD = object()
+
+#: The empty party set: a round without the adversary stage corrupts,
+#: clips and crashes nobody.
+_NONE: frozenset[int] = frozenset()
 
 
 def default_round_budget(n: int, t: int) -> int:
@@ -267,26 +281,31 @@ class SynchronousNetwork:
             if wants_recovery
             else None
         )
-        #: Fast-path eligibility: with no lossy transport, no crash or
-        #: recovery plane, and the exact PassiveAdversary (which relays
-        #: corrupted parties' spec messages verbatim, never adapts, and
-        #: never crashes anyone), round delivery is a pure function of
-        #: the yielded Outgoing bundles and can skip the per-link dict
-        #: churn and the RoundView.  Byte-identical by construction; see
-        #: :meth:`_finish_round_fast`.
-        self._fast_path = (
+        #: Adversary stage (RoundView, ``deliver``, wire guard, ``adapt``,
+        #: crash requests): skipped when round delivery is a pure
+        #: function of the yielded Outgoing bundles -- no lossy
+        #: transport, no crash or recovery plane, and the exact
+        #: PassiveAdversary, which relays corrupted parties' spec
+        #: messages verbatim, never adapts and never crashes anyone.
+        #: Relaying the spec messages directly delivers the same inboxes
+        #: in the same insertion order, so the skip is byte-identical.
+        self._adversary_stage = not (
             transport is None
             and self._recovery is None
             and type(self.adversary) is PassiveAdversary
+        )
+        #: Adversarial crash requests (the adversary's crash plane).
+        self._crash_stage = self._recovery is not None and getattr(
+            self.adversary, "has_crash_plane", False
         )
         #: Inbound wire guard (hostile-payload plane).  ``True`` derives
         #: limits from the bit envelopes at a default payload length;
         #: pass an explicit :class:`WireLimits` (e.g. from
         #: ``WireLimits.from_envelopes(n, t, ell, kappa)``) for
-        #: protocol-accurate bounds.  Only byzantine-origin traffic on
-        #: the general delivery path is ever checked -- honest sends and
-        #: the zero-fault fast path are untouched, so arming guards
-        #: cannot perturb honest accounting.
+        #: protocol-accurate bounds.  Only byzantine-origin traffic in
+        #: the adversary stage is ever checked -- honest sends and runs
+        #: without that stage are untouched, so arming guards cannot
+        #: perturb honest accounting.
         if guards is True:
             guards = WireLimits.from_envelopes(n, t, ell=4096, kappa=kappa)
         elif guards is False:
@@ -309,106 +328,73 @@ class SynchronousNetwork:
             ctx = Context(party_id=party, n=n, t=t, kappa=kappa)
             gen = protocol_factory(ctx, self.inputs[party])
             self._states[party] = _PartyState(generator=gen)
-        #: next round the scheduler will attempt (stepping API state).
-        self._next_round = 0
-        #: "plain run": fast path with no trace and no monitors armed --
-        #: the per-round hook dispatch and RoundRecord assembly are
-        #: skipped entirely and inbox dicts come from the arena.
-        self._plain = False
-        #: two alternating banks of per-party inbox dicts (plain runs
-        #: only).  The dicts delivered in round ``r`` are reused in
-        #: round ``r + 2``: every protocol consumes its inbox between
-        #: consecutive yields, so the bank being refilled is always two
-        #: rounds stale and never aliased by a live generator.
+        #: RoundRecord stage: a trace or monitors want each round.
+        self._observed = self.trace is not None or bool(self.monitors)
+        #: two alternating banks of per-party inbox dicts, used when no
+        #: stage is armed.  The dicts delivered in round ``r`` are
+        #: reused in round ``r + 2``: every protocol consumes its inbox
+        #: between consecutive yields, so the bank being refilled is
+        #: always two rounds stale and never aliased by a live
+        #: generator.  A trace or monitor may retain inboxes, and the
+        #: WAL logs them, so those runs get fresh dicts every round.
         self._arena: tuple[dict[int, dict[int, Any]], ...] | None = None
+        if not self._adversary_stage and not self._observed:
+            self._arena = tuple(
+                {party: {} for party in range(n)} for _ in range(2)
+            )
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
-        """Execute until every honest party has terminated."""
+        """Execute until every honest party has terminated.
+
+        The finished-check comes before the round budget: an execution
+        whose honest parties all returned within ``max_rounds`` rounds
+        succeeds, and one that needs more raises
+        :class:`SimulationError` with the partial trace, stats and
+        outputs.
+        """
         started = time.perf_counter()
         try:
-            self.begin()
-            while self.step():
-                pass
-            return self.finish()
+            counters.bump("sched_instances")
+            for monitor in self.monitors:
+                monitor.on_start(self)
+            round_index = 0
+            while not self._all_honest_finished():
+                if round_index >= self.max_rounds:
+                    raise SimulationError(
+                        f"protocol did not terminate within "
+                        f"{self.max_rounds} rounds",
+                        trace=self.trace,
+                        stats=self.stats,
+                        outputs=self._partial_outputs(),
+                    )
+                self._run_round(round_index)
+                round_index += 1
+                counters.bump("sched_rounds")
+            result = ExecutionResult(
+                n=self.n,
+                t=self.t,
+                outputs=self._partial_outputs(),
+                corrupted=frozenset(self.corrupted),
+                stats=self.stats,
+                channel_trace=self.channel_trace,
+                trace=self.trace,
+                clipped_corruptions=list(self.clipped_corruptions),
+                crash_log=list(self.crash_log),
+                clipped_crashes=list(self.clipped_crashes),
+                recoveries=(
+                    self._recovery.recoveries if self._recovery else 0
+                ),
+                quarantine_log=list(self.quarantine_log),
+            )
+            for monitor in self.monitors:
+                self._monitored(monitor.on_finish, result, self)
+            return result
         finally:
             # Wall time rides on the stats object so every exit path --
             # normal completion, SimulationError with partial state,
             # monitor violations -- carries its timing.
             self.stats.wall_s = time.perf_counter() - started
-
-    # -- stepping API ---------------------------------------------------
-    # ``run()`` is ``begin(); while step(): pass; finish()``.  The
-    # decomposition exists so :class:`repro.sim.multiplex
-    # .MultiplexScheduler` can interleave many executions round-by-round
-    # in one interpreter loop; both drivers produce byte-identical
-    # executions because each network's evolution is a pure function of
-    # its own state.
-
-    def begin(self) -> None:
-        """Arm one execution: monitors, plain-run flag, inbox arena."""
-        self._next_round = 0
-        self._plain = (
-            self._fast_path and self.trace is None and not self.monitors
-        )
-        if self._plain:
-            states = self._states
-            self._arena = (
-                {party: {} for party in states},
-                {party: {} for party in states},
-            )
-        counters.bump("sched_instances")
-        for monitor in self.monitors:
-            monitor.on_start(self)
-
-    def step(self) -> bool:
-        """Run one scheduler iteration; ``False`` once execution is done.
-
-        Replicates the classic ``for round_index in range(max_rounds)``
-        loop exactly: the round budget is checked before the
-        finished-check, so an execution that exhausts its budget raises
-        the same :class:`SimulationError` the serial loop raised.
-        """
-        round_index = self._next_round
-        if round_index >= self.max_rounds:
-            raise SimulationError(
-                f"protocol did not terminate within {self.max_rounds} "
-                "rounds",
-                trace=self.trace,
-                stats=self.stats,
-                outputs=self._partial_outputs(),
-            )
-        if self._all_honest_finished():
-            return False
-        self._run_round(round_index)
-        self._next_round = round_index + 1
-        counters.bump("sched_rounds")
-        return True
-
-    def finish(self) -> ExecutionResult:
-        """Assemble the result once :meth:`step` has returned ``False``."""
-        outputs = {
-            party: state.output
-            for party, state in self._states.items()
-            if state.finished and party not in self.corrupted
-        }
-        result = ExecutionResult(
-            n=self.n,
-            t=self.t,
-            outputs=outputs,
-            corrupted=frozenset(self.corrupted),
-            stats=self.stats,
-            channel_trace=self.channel_trace,
-            trace=self.trace,
-            clipped_corruptions=list(self.clipped_corruptions),
-            crash_log=list(self.crash_log),
-            clipped_crashes=list(self.clipped_crashes),
-            recoveries=self._recovery.recoveries if self._recovery else 0,
-            quarantine_log=list(self.quarantine_log),
-        )
-        for monitor in self.monitors:
-            self._monitored(monitor.on_finish, result, self)
-        return result
 
     # ------------------------------------------------------------------
     def _partial_outputs(self) -> dict[int, Any]:
@@ -554,33 +540,144 @@ class SynchronousNetwork:
             self.crash_log.append(("down", down_round, party))
         return accepted, clipped
 
-    def _finish_round_fast(
-        self,
-        round_index: int,
-        outgoings: dict[int, Outgoing],
-        honest_channels: set[str],
-    ) -> None:
-        """Deliver one round with no fault plane armed.
+    def _run_round(self, round_index: int) -> None:
+        """One lockstep round: resume, act, deliver, account, observe.
 
-        Valid only under :attr:`_fast_path` conditions, where the
-        general path degenerates to "deliver every yielded message
-        verbatim": honest messages first in party order, then corrupted
-        parties' spec messages -- exactly the inbox insertion order the
-        general path produces, so ``distribute``'s first-valid-tuple
-        scan sees identical dicts.  Stats, counters, channel trace, and
-        (when requested) the :class:`RoundRecord` are byte-identical;
-        only the per-link dict churn and the RoundView are skipped.
-
-        On a plain run the inbox dicts come from the two-bank arena
-        (cleared and refilled instead of freshly allocated); with a
-        trace or monitors armed every round gets fresh dicts, since a
-        tracing consumer may legitimately retain them.
+        Parties send, the rushing adversary acts, messages are
+        delivered.  The adversary, transport, recovery and RoundRecord
+        stages run only when armed (flags fixed in ``__init__``), so an
+        unarmed stage costs one flag test per round.
         """
+        recovery = self._recovery
+        corrupted = self.corrupted
+        down = self.down
+        states = self._states
+        # 0. Crash plane: restarts due now, then declarative crashes
+        # whose down round is now (both before any generator resumes).
+        restarted: frozenset[int] = frozenset()
+        if recovery is not None:
+            restarted = self._process_restarts(round_index)
+            declared = self._declared_crashes.pop(round_index, None)
+            if declared:
+                self._accept_crashes(declared, round_index)
+
+        # 1. Resume every running generator (down parties stay frozen).
+        # The finished/down guards are hoisted out of ``_resume`` so a
+        # long-finished party costs one attribute read, not a call, and
+        # the resume count lands in ``sched_resumes`` as one batched
+        # bump per round (actual generator touches only).
+        outgoings: dict[int, Outgoing] = {}
+        resumes = 0
+        for party, state in states.items():
+            if state.finished or (down and party in down):
+                continue
+            resumes += 1
+            outgoing = self._resume(party, state, round_index)
+            if outgoing is not None:
+                outgoings[party] = outgoing
+        if resumes:
+            counters.bump("sched_resumes", resumes)
+        if not outgoings:
+            # Every generator terminated while consuming last round's
+            # inbox -- no network round takes place.
+            return
+
+        # Lockstep sanity check: running honest parties share one channel.
+        honest_channels = {
+            out.channel
+            for party, out in outgoings.items()
+            if party not in corrupted
+        }
+        if len(honest_channels) > 1:
+            record = RoundRecord(
+                round_index=round_index,
+                channel="",
+                honest_messages=0,
+                honest_bits=0,
+                byzantine_messages=0,
+                corrupted=frozenset(corrupted),
+                finished_parties=frozenset(
+                    p for p, s in states.items() if s.finished
+                ),
+                honest_channels=tuple(sorted(honest_channels)),
+                down_parties=frozenset(down),
+                restarted_parties=restarted,
+            )
+            if self.trace is not None:
+                self.trace.append(record)
+            for monitor in self.monitors:
+                self._monitored(monitor.on_round, record, self)
+            raise SimulationError(
+                f"honest parties out of lockstep in round {round_index}: "
+                f"{sorted(honest_channels)}",
+                trace=self.trace,
+                stats=self.stats,
+                outputs=self._partial_outputs(),
+            )
+        channel = next(iter(honest_channels)) if honest_channels else ""
+        if honest_channels:
+            self.channel_trace.append(channel)
+
         n = self.n
         stats = self.stats
-        corrupted = self.corrupted
-        states = self._states
-        if self._plain:
+        # 2. Adversary stage: the rushing adversary acts on the full
+        # round view.
+        view = None
+        if self._adversary_stage:
+            honest_outgoing: dict[tuple[int, int], Any] = {}
+            spec_outgoing: dict[tuple[int, int], Any] = {}
+            channels: dict[int, str] = {}
+            for party, out in outgoings.items():
+                channels[party] = out.channel
+                bucket = (
+                    spec_outgoing if party in corrupted else honest_outgoing
+                )
+                for dst, payload in out.messages.items():
+                    if 0 <= dst < n:
+                        bucket[(party, dst)] = payload
+            view = RoundView(
+                round_index=round_index,
+                n=n,
+                t=self.t,
+                kappa=self.kappa,
+                corrupted=frozenset(corrupted),
+                channels=channels,
+                honest_outgoing=dict(honest_outgoing),
+                spec_outgoing=dict(spec_outgoing),
+                corrupted_inputs={p: self.inputs[p] for p in corrupted},
+                down=frozenset(down),
+            )
+            byz_messages = self.adversary.deliver(view)
+
+            # 3. Transport stage: on a lossy transport every honest
+            # payload to a live destination is retransmitted until
+            # acked, restoring the lockstep abstraction (overhead lands
+            # in the retrans_*/ack_* stats, never in honest_bits).  A
+            # timeout carries the stats as they stand before this
+            # round's honest bits are recorded.
+            if self.transport is not None:
+                live_traffic = {
+                    link: payload
+                    for link, payload in honest_outgoing.items()
+                    if link[1] not in down
+                }
+                try:
+                    self.transport.synchronize(
+                        round_index, live_traffic, stats
+                    )
+                except TransportTimeout as timeout:
+                    raise SimulationError(
+                        str(timeout),
+                        trace=self.trace,
+                        stats=stats,
+                        outputs=self._partial_outputs(),
+                    ) from timeout
+
+        # 4. Deliver inboxes and account honest bits: honest messages
+        # first in party order, then byzantine ones.  Down parties'
+        # inboxes are parked (senders keep retransmitting) instead of
+        # delivered.
+        if self._arena is not None:
             # Bank r%2 was delivered in round r-2 and has been consumed
             # (every protocol reads its inbox before its next yield).
             inboxes = self._arena[round_index & 1]
@@ -594,7 +691,6 @@ class SynchronousNetwork:
         inbox_rows = [inboxes[party] for party in range(n)]
         round_bits = 0
         round_messages = 0
-        byz_count = 0
         sender_bits: list[tuple[int, int]] = []
         for party, out in outgoings.items():
             if corrupted and party in corrupted:
@@ -628,198 +724,29 @@ class SynchronousNetwork:
                 sender_bits.append((party, party_sent))
                 round_bits += party_sent
                 round_messages += party_messages
-        if corrupted:
+        if sender_bits:
+            # Post lockstep check every honest sender shares one
+            # channel, so the whole round batches into one update.
+            stats.record_round_sends(
+                channel, sender_bits, round_messages, round_bits
+            )
+        byz_count = 0
+        if view is None:
+            # No adversary stage: corrupted parties send their spec
+            # messages verbatim.
             for party, out in outgoings.items():
                 if party not in corrupted:
                     continue
                 for dst, payload in out.messages.items():
                     if 0 <= dst < n:
-                        inboxes[dst][party] = payload
+                        inbox_rows[dst][party] = payload
                         byz_count += 1
-        for party, state in states.items():
-            state.inbox = inboxes[party]
-        if sender_bits:
-            # Post lockstep check every honest sender shares one
-            # channel, so the whole round batches into one update.
-            stats.record_round_sends(
-                next(iter(honest_channels)),
-                sender_bits,
-                round_messages,
-                round_bits,
-            )
-        stats.record_round()
-        counters.bump("net_rounds")
-        counters.bump("net_messages", round_messages + byz_count)
-
-        if self._plain or (self.trace is None and not self.monitors):
-            return
-        record = RoundRecord(
-            round_index=round_index,
-            channel=(
-                next(iter(honest_channels)) if honest_channels else ""
-            ),
-            honest_messages=round_messages,
-            honest_bits=round_bits,
-            byzantine_messages=byz_count,
-            corrupted=frozenset(corrupted),
-            finished_parties=frozenset(
-                p for p, s in self._states.items() if s.finished
-            ),
-            honest_channels=tuple(sorted(honest_channels)),
-            new_corruptions=frozenset(),
-            clipped_corruptions=frozenset(),
-            down_parties=frozenset(),
-            restarted_parties=frozenset(),
-            new_crashes=frozenset(),
-            clipped_crashes=frozenset(),
-        )
-        if self.trace is not None:
-            self.trace.append(record)
-        for monitor in self.monitors:
-            self._monitored(monitor.on_round, record, self)
-
-    def _run_round(self, round_index: int) -> None:
-        # 0. Crash plane: restarts due now, then declarative crashes
-        # whose down round is now (both before any generator resumes).
-        restarted: frozenset[int] = frozenset()
-        if self._recovery is not None:
-            restarted = self._process_restarts(round_index)
-            declared = self._declared_crashes.pop(round_index, None)
-            if declared:
-                self._accept_crashes(declared, round_index)
-
-        # 1. Resume every running generator (down parties stay frozen).
-        # The finished/down guards are hoisted out of ``_resume`` so a
-        # long-finished party costs one attribute read, not a call, and
-        # the resume count lands in ``sched_resumes`` as one batched
-        # bump per round (actual generator touches only).
-        outgoings: dict[int, Outgoing] = {}
-        down = self.down
-        resumes = 0
-        for party, state in self._states.items():
-            if state.finished or (down and party in down):
-                continue
-            resumes += 1
-            outgoing = self._resume(party, state, round_index)
-            if outgoing is not None:
-                outgoings[party] = outgoing
-        if resumes:
-            counters.bump("sched_resumes", resumes)
-        if not outgoings:
-            # Every generator terminated while consuming last round's
-            # inbox -- no network round takes place.
-            return
-
-        # Lockstep sanity check: running honest parties share one channel.
-        honest_channels = {
-            out.channel
-            for party, out in outgoings.items()
-            if party not in self.corrupted
-        }
-        if len(honest_channels) > 1:
-            record = RoundRecord(
-                round_index=round_index,
-                channel="",
-                honest_messages=0,
-                honest_bits=0,
-                byzantine_messages=0,
-                corrupted=frozenset(self.corrupted),
-                finished_parties=frozenset(
-                    p for p, s in self._states.items() if s.finished
-                ),
-                honest_channels=tuple(sorted(honest_channels)),
-                down_parties=frozenset(self.down),
-                restarted_parties=restarted,
-            )
-            if self.trace is not None:
-                self.trace.append(record)
-            for monitor in self.monitors:
-                self._monitored(monitor.on_round, record, self)
-            raise SimulationError(
-                f"honest parties out of lockstep in round {round_index}: "
-                f"{sorted(honest_channels)}",
-                trace=self.trace,
-                stats=self.stats,
-                outputs=self._partial_outputs(),
-            )
-        if honest_channels:
-            self.channel_trace.append(next(iter(honest_channels)))
-
-        if self._fast_path:
-            self._finish_round_fast(round_index, outgoings, honest_channels)
-            return
-
-        honest_outgoing: dict[tuple[int, int], Any] = {}
-        spec_outgoing: dict[tuple[int, int], Any] = {}
-        channels: dict[int, str] = {}
-        for party, out in outgoings.items():
-            channels[party] = out.channel
-            bucket = (
-                spec_outgoing if party in self.corrupted else honest_outgoing
-            )
-            for dst, payload in out.messages.items():
-                if 0 <= dst < self.n:
-                    bucket[(party, dst)] = payload
-
-        # 2. The rushing adversary acts on the full round view.
-        view = RoundView(
-            round_index=round_index,
-            n=self.n,
-            t=self.t,
-            kappa=self.kappa,
-            corrupted=frozenset(self.corrupted),
-            channels=channels,
-            honest_outgoing=dict(honest_outgoing),
-            spec_outgoing=dict(spec_outgoing),
-            corrupted_inputs={
-                p: self.inputs[p] for p in self.corrupted
-            },
-            down=frozenset(self.down),
-        )
-        byz_messages = self.adversary.deliver(view)
-
-        # 3. Synchronize the wire: on a lossy transport every honest
-        # payload to a live destination is retransmitted until acked,
-        # restoring the lockstep abstraction (overhead lands in the
-        # retrans_*/ack_* stats, never in honest_bits).
-        if self.transport is not None:
-            live_traffic = {
-                link: payload
-                for link, payload in honest_outgoing.items()
-                if link[1] not in self.down
-            }
-            try:
-                self.transport.synchronize(
-                    round_index, live_traffic, self.stats
-                )
-            except TransportTimeout as timeout:
-                raise SimulationError(
-                    str(timeout),
-                    trace=self.trace,
-                    stats=self.stats,
-                    outputs=self._partial_outputs(),
-                ) from timeout
-
-        # 4. Deliver inboxes and account honest bits.  Down parties'
-        # inboxes are parked (senders keep retransmitting) instead of
-        # delivered; live parties' executed rounds go to their WALs.
-        inboxes: dict[int, dict[int, Any]] = {
-            party: {} for party in self._states
-        }
-        round_bits = 0
-        round_messages = 0
-        byz_count = 0
-        for (src, dst), payload in honest_outgoing.items():
-            inboxes[dst][src] = payload
-            if dst != src:
-                bits = bit_size(payload)
-                self.stats.record_send(src, channels[src], bits)
-                round_bits += bits
-                round_messages += 1
-        guard = self._guard
-        for (src, dst), payload in byz_messages.items():
-            if src in self.corrupted and 0 <= dst < self.n:
-                if guard is not None and dst not in self.corrupted:
+        else:
+            guard = self._guard
+            for (src, dst), payload in byz_messages.items():
+                if src not in corrupted or not 0 <= dst < n:
+                    continue
+                if guard is not None and dst not in corrupted:
                     # Honest parties validate byzantine-origin traffic
                     # before it enters their inbox; out-of-bounds
                     # payloads are quarantined (discarded + attributed),
@@ -829,39 +756,91 @@ class SynchronousNetwork:
                     reason, bits = guard.check(round_index, src, payload)
                     if reason is not None:
                         counters.bump("guard_quarantined")
-                        self.stats.record_quarantine(bits)
+                        stats.record_quarantine(bits)
                         if len(self.quarantine_log) < _QUARANTINE_LOG_CAP:
                             self.quarantine_log.append(
                                 (round_index, src, dst, reason)
                             )
                         continue
-                inboxes[dst][src] = payload
+                inbox_rows[dst][src] = payload
                 byz_count += 1
-        for party, state in self._states.items():
-            if party not in self.down:
+        for party, state in states.items():
+            if not (down and party in down):
                 state.inbox = inboxes[party]
-        if self._recovery is not None:
-            honest_senders = {
-                p for p in range(self.n) if p not in self.corrupted
-            }
-            for party in sorted(self.down):
-                self._recovery.park(
+
+        # 5. Recovery stage: live parties' executed rounds go to their
+        # write-ahead logs, down parties' inboxes are parked.
+        if recovery is not None:
+            honest_senders = {p for p in range(n) if p not in corrupted}
+            for party in sorted(down):
+                recovery.park(
                     party, round_index, inboxes[party], honest_senders
                 )
             for party, out in outgoings.items():
-                if party not in self.corrupted:
-                    self._recovery.log_round(
+                if party not in corrupted:
+                    recovery.log_round(
                         party, round_index, inboxes[party], out
                     )
-        self.stats.record_round()
+        stats.record_round()
         counters.bump("net_rounds")
         counters.bump("net_messages", round_messages + byz_count)
 
-        # 5. Adaptive corruptions (effective next round).  An over-budget
-        # ``adapt()`` is clipped deterministically; the clipped parties
-        # are recorded and warned about rather than silently dropped.
-        # Down parties share the same ``t`` budget and cannot be
-        # corrupted while powered off.
+        accepted = clipped = crash_accepted = crash_clipped = _NONE
+        down_before = frozenset(down) if self._observed else None
+        if view is not None:
+            accepted, clipped = self._adapt(view, round_index)
+            # 6. Adversarial crashes (effective next round), clipped
+            # against the combined corruption + down budget.
+            if self._crash_stage:
+                crash_requests = self.adversary.crash_restarts(view)
+                crash_accepted, crash_clipped = self._accept_crashes(
+                    {
+                        party: up
+                        for party, up in crash_requests.items()
+                        if party not in accepted
+                    },
+                    round_index + 1,
+                    pending_corruptions=len(accepted),
+                )
+
+        # 7. RoundRecord stage.
+        if self._observed:
+            record = RoundRecord(
+                round_index=round_index,
+                channel=channel,
+                honest_messages=round_messages,
+                honest_bits=round_bits,
+                byzantine_messages=byz_count,
+                corrupted=frozenset(corrupted),
+                finished_parties=frozenset(
+                    p for p, s in states.items() if s.finished
+                ),
+                honest_channels=tuple(sorted(honest_channels)),
+                new_corruptions=frozenset(accepted),
+                clipped_corruptions=frozenset(clipped),
+                down_parties=down_before,
+                restarted_parties=restarted,
+                new_crashes=frozenset(crash_accepted),
+                clipped_crashes=frozenset(crash_clipped),
+            )
+            if self.trace is not None:
+                self.trace.append(record)
+            for monitor in self.monitors:
+                self._monitored(monitor.on_round, record, self)
+
+        if accepted:
+            corrupted.update(accepted)
+
+    def _adapt(
+        self, view: RoundView, round_index: int
+    ) -> tuple[set[int], set[int]]:
+        """Adaptive corruptions requested this round (effective next).
+
+        An over-budget ``adapt()`` is clipped deterministically; the
+        clipped parties are recorded and warned about rather than
+        silently dropped.  Down parties share the same ``t`` budget and
+        cannot be corrupted while powered off.
+        """
         requested = {
             party
             for party in self.adversary.adapt(view)
@@ -883,51 +862,6 @@ class SynchronousNetwork:
                 f"{len(self.corrupted)}) -- the adversary configuration "
                 "is over-powered and was silently weakened",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-
-        # 6. Adversarial crashes (effective next round), clipped against
-        # the combined corruption + down budget.
-        down_before = frozenset(self.down)
-        crash_accepted: set[int] = set()
-        crash_clipped: set[int] = set()
-        if self._recovery is not None and getattr(
-            self.adversary, "has_crash_plane", False
-        ):
-            crash_requests = self.adversary.crash_restarts(view)
-            crash_accepted, crash_clipped = self._accept_crashes(
-                {
-                    party: up
-                    for party, up in crash_requests.items()
-                    if party not in accepted
-                },
-                round_index + 1,
-                pending_corruptions=len(accepted),
-            )
-
-        record = RoundRecord(
-            round_index=round_index,
-            channel=(
-                next(iter(honest_channels)) if honest_channels else ""
-            ),
-            honest_messages=round_messages,
-            honest_bits=round_bits,
-            byzantine_messages=byz_count,
-            corrupted=frozenset(self.corrupted),
-            finished_parties=frozenset(
-                p for p, s in self._states.items() if s.finished
-            ),
-            honest_channels=tuple(sorted(honest_channels)),
-            new_corruptions=frozenset(accepted),
-            clipped_corruptions=frozenset(clipped),
-            down_parties=down_before,
-            restarted_parties=restarted,
-            new_crashes=frozenset(crash_accepted),
-            clipped_crashes=frozenset(crash_clipped),
-        )
-        if self.trace is not None:
-            self.trace.append(record)
-        for monitor in self.monitors:
-            self._monitored(monitor.on_round, record, self)
-
-        self.corrupted.update(accepted)
+        return accepted, clipped

@@ -195,28 +195,8 @@ def _run_chunk(
     fn: Callable[[Any], Any],
     chunk: list[tuple[int, Any]],
     timeout_s: float | None,
-    multiplex: int = 1,
 ) -> list[CaseOutcome]:
-    """Worker entry point: run one chunk of ``(index, payload)`` cases.
-
-    ``multiplex > 1`` steps the chunk in cooperative batches of that
-    size through :mod:`repro.sim.multiplex` -- but only when ``fn``
-    declared an opener via ``@multiplexable``; any other case function
-    silently keeps the sequential path (which is what a batch of one
-    degenerates to anyway).
-    """
-    if multiplex > 1:
-        from .multiplex import opener_of, run_multiplexed
-
-        if opener_of(fn) is not None:
-            outcomes: list[CaseOutcome] = []
-            for at in range(0, len(chunk), multiplex):
-                outcomes.extend(
-                    run_multiplexed(
-                        fn, chunk[at:at + multiplex], timeout_s
-                    )
-                )
-            return outcomes
+    """Worker entry point: run one chunk of ``(index, payload)`` cases."""
     return [_run_one(fn, index, payload, timeout_s) for index, payload in chunk]
 
 
@@ -240,7 +220,6 @@ def run_many(
     progress: Callable[[CaseOutcome], None] | None = None,
     retries: int = 0,
     retry_backoff_s: float = 0.5,
-    multiplex: int = 1,
 ) -> list[CaseOutcome]:
     """Run ``fn(payload)`` for every payload; outcomes in payload order.
 
@@ -268,16 +247,6 @@ def run_many(
             :attr:`CaseOutcome.retries` recording the attempts spent.
         retry_backoff_s: base sleep before the first retry pass; pass
             ``k`` sleeps ``retry_backoff_s * 2**(k-1)``, capped at 30s.
-        multiplex: cooperative instances stepped round-by-round in one
-            interpreter loop (:mod:`repro.sim.multiplex`).  Only takes
-            effect for case functions that declared an opener via
-            ``@multiplexable`` (e.g. ``measure_case``); everything else
-            keeps the sequential path.  Composes with ``workers``: each
-            worker multiplexes its own chunk.  Results are
-            byte-identical to ``multiplex=1``.  Retry passes always run
-            single-instance, so a cooperative-timeout casualty gets an
-            undisturbed per-case alarm budget on retry.
-
     Returns:
         One :class:`CaseOutcome` per payload, index-aligned.  A case
         that raised, timed out, or lost its worker process is a failed
@@ -285,22 +254,16 @@ def run_many(
         inputs or misconfiguration.
     """
     worker_count = resolve_workers(workers)
-    if multiplex < 1:
-        raise ValueError(f"multiplex must be >= 1, got {multiplex!r}")
     cases = list(enumerate(payloads))
     if not cases:
         return []
 
     if worker_count == 1 or len(cases) == 1:
-        outcomes = _run_chunk(fn, cases, timeout_s, multiplex)
+        outcomes = _run_chunk(fn, cases, timeout_s)
     else:
         size = chunksize or _default_chunksize(len(cases), worker_count)
-        if multiplex > 1:
-            # Round chunks up to whole batches so no worker is handed a
-            # fragment that multiplexes below the requested width.
-            size = -(-size // multiplex) * multiplex
         chunks = [cases[i:i + size] for i in range(0, len(cases), size)]
-        outcomes = _dispatch(fn, chunks, worker_count, timeout_s, multiplex)
+        outcomes = _dispatch(fn, chunks, worker_count, timeout_s)
     outcomes.sort(key=lambda outcome: outcome.index)
     if retries > 0:
         outcomes = _retry_transients(
@@ -364,7 +327,6 @@ def _pool_pass(
     workers: int,
     timeout_s: float | None,
     outcomes: list[CaseOutcome],
-    multiplex: int = 1,
 ) -> list[list[tuple[int, Any]]]:
     """One executor pass; returns the chunks lost to a pool breakage."""
     from ..perf import config
@@ -377,12 +339,7 @@ def _pool_pass(
     )
     try:
         futures = [
-            (
-                executor.submit(
-                    _run_chunk, fn, chunk, timeout_s, multiplex
-                ),
-                chunk,
-            )
+            (executor.submit(_run_chunk, fn, chunk, timeout_s), chunk)
             for chunk in chunks
         ]
         for future, chunk in futures:
@@ -400,7 +357,6 @@ def _dispatch(
     chunks: list[list[tuple[int, Any]]],
     workers: int,
     timeout_s: float | None,
-    multiplex: int = 1,
 ) -> list[CaseOutcome]:
     """Fan chunks out over a pool, surviving broken worker processes.
 
@@ -408,12 +364,10 @@ def _dispatch(
     taking every in-flight chunk with it.  Lost chunks are split into
     single-case chunks and retried in fresh pools until the survivors
     drain; a case that keeps killing its worker is recorded as a
-    ``WorkerCrash`` outcome instead of aborting the campaign.  The
-    single-case salvage passes drop back to ``multiplex=1`` -- a batch
-    of one has no one to share its loop with anyway.
+    ``WorkerCrash`` outcome instead of aborting the campaign.
     """
     outcomes: list[CaseOutcome] = []
-    lost = _pool_pass(fn, chunks, workers, timeout_s, outcomes, multiplex)
+    lost = _pool_pass(fn, chunks, workers, timeout_s, outcomes)
     pending = [[case] for chunk in lost for case in chunk]
     while pending:
         failed = _pool_pass(fn, pending, workers, timeout_s, outcomes)

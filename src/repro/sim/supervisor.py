@@ -38,21 +38,24 @@ fallback into the full escalation ladder::
     (primary)       (inside the transport's     (same lossy      (t < n/5,
                      TimeoutEscalation)         transport!)     eps-agreement)
 
-The ladder differs from :func:`run_with_fallback` in one crucial way:
-the ``HighCostCA`` rung runs over the *same* transport as the primary,
-so a network that is actually broken (a never-healing partition) fails
-it too and the supervisor keeps descending -- to asynchronous
-Approximate Agreement, whose liveness needs no synchrony at all.  Each
-rung is tried at most once, the traversal is recorded in order on
-``FallbackRecord.history``, and a ladder that runs out of rungs raises
-a budgeted :class:`~repro.errors.SimulationError` carrying the whole
-history -- never an unhandled exception.
+Both supervisors run the same ladder loop and differ only in their
+rungs.  :func:`run_with_fallback` has one: ``HighCostCA`` on a perfect
+network.  :func:`run_with_escalation` runs ``HighCostCA`` over the
+*same* transport as the primary, so a network that is actually broken
+(a never-healing partition) fails it too and the supervisor keeps
+descending -- to asynchronous Approximate Agreement, whose liveness
+needs no synchrony at all.  Each rung is tried at most once, the
+traversal is recorded in order on ``FallbackRecord.history``, and a
+ladder that runs out of rungs raises a budgeted
+:class:`~repro.errors.SimulationError` carrying the whole history and
+chained from the primary failure -- never an unhandled exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ProtocolViolation, SimulationError
@@ -163,6 +166,151 @@ class _StaticCorruptions(PassiveAdversary):
         return set(self._corrupted)
 
 
+#: Channel label of the HighCostCA rung.
+FALLBACK_CHANNEL = "fallback/hc"
+
+
+class _Skipped(Exception):
+    """A rung whose precondition does not hold; the ladder moves on."""
+
+
+def _high_cost_ca(shifted, corrupted, settings, transport):
+    """Rung: HighCostCA with spec-following corrupted parties."""
+    from ..core.high_cost_ca import high_cost_ca
+
+    result = SynchronousNetwork(
+        protocol_factory=lambda ctx, v: high_cost_ca(
+            ctx, v, channel=FALLBACK_CHANNEL
+        ),
+        inputs=shifted,
+        n=settings["n"],
+        t=settings["t"],
+        kappa=settings["kappa"],
+        adversary=_StaticCorruptions(corrupted),
+        max_rounds=settings["max_rounds"],
+        trace=settings["trace"],
+        transport=transport,
+        guards=settings["guards"],
+    ).run()
+    return result, None
+
+
+def _async_aa(shifted, corrupted, settings, epsilon, max_deliveries):
+    """Rung: asynchronous AA with the primary's corruption set pinned."""
+    n, t_async = settings["n"], len(corrupted)
+    if 5 * t_async >= n:
+        raise _Skipped(f"needs 5t < n, t={t_async}, n={n}")
+    from ..asynchrony.aa import AsyncApproximateAgreement
+    from ..asynchrony.network import AsyncNetwork
+
+    bound = max(1, max(shifted.values()))
+    async_result = AsyncNetwork(
+        party_factory=lambda ctx: AsyncApproximateAgreement(
+            ctx, shifted[ctx.party_id], epsilon, bound
+        ),
+        n=n,
+        t=t_async,
+        kappa=settings["kappa"],
+        adversary=_PinnedAsyncCorruptions(corrupted),
+        max_deliveries=max_deliveries,
+        guards=settings["guards"],
+    ).run()
+    result = ExecutionResult(
+        n=n,
+        t=settings["t"],
+        outputs=dict(async_result.outputs),
+        corrupted=corrupted,
+        stats=async_result.stats,
+    )
+    return result, epsilon
+
+
+#: ``(shifted inputs, corrupted, settings) -> (result, epsilon | None)``;
+#: raises ProtocolViolation / SimulationError on failure, _Skipped when
+#: the rung cannot apply.  ``epsilon`` is set when outputs agree only
+#: up to it.
+_Rung = tuple[str, Callable[..., tuple[ExecutionResult, Any]]]
+
+
+def _run_ladder(
+    protocol_factory: ProtocolFactory,
+    inputs: dict[int, Any] | list[Any],
+    settings: dict[str, Any],
+    rungs: Sequence[_Rung],
+    escalate_on: tuple[type, ...],
+) -> ExecutionResult:
+    """Run the primary, then each rung in order until one decides.
+
+    ``settings`` are the primary's :class:`SynchronousNetwork` keyword
+    arguments.  A primary failure enters the ladder only when it is one
+    of ``escalate_on``.  Inputs are shifted into N for the rungs and the
+    decided outputs shifted back; non-integer inputs cannot be shifted,
+    so the primary failure then propagates unchanged.
+    """
+    if isinstance(inputs, list):
+        inputs = dict(enumerate(inputs))
+    primary = SynchronousNetwork(protocol_factory, inputs, **settings)
+    try:
+        return primary.run()
+    except (ProtocolViolation, SimulationError) as failure:
+        if not isinstance(failure, escalate_on):
+            raise
+        primary_failure = failure
+    resyncs = primary.stats.resync_attempts
+    history = [
+        f"primary: {type(primary_failure).__name__}: "
+        f"{_clip(str(primary_failure))}"
+    ]
+    if resyncs:
+        history.append(
+            f"transport: {resyncs} escalated retr"
+            f"{'y' if resyncs == 1 else 'ies'} before the failure"
+        )
+    try:
+        offset = _offset_into_naturals(inputs)
+    except ConfigurationError:
+        raise primary_failure from None
+    shifted = {party: value + offset for party, value in inputs.items()}
+    corrupted = frozenset(primary.corrupted)
+
+    for name, run in rungs:
+        try:
+            result, epsilon = run(shifted, corrupted, settings)
+        except _Skipped as skipped:
+            history.append(f"{name}: skipped ({skipped})")
+            continue
+        except (ProtocolViolation, SimulationError) as rung_failure:
+            history.append(
+                f"{name}: {type(rung_failure).__name__}: "
+                f"{_clip(str(rung_failure))}"
+            )
+            continue
+        if epsilon is None:
+            history.append(f"{name}: decided")
+        else:
+            history.append(f"{name}: decided (eps={epsilon})")
+            epsilon = str(Fraction(epsilon))
+        result.outputs = {
+            party: value - offset for party, value in result.outputs.items()
+        }
+        result.fallback = FallbackRecord(
+            trigger=type(primary_failure).__name__,
+            detail=str(primary_failure),
+            monitor=getattr(primary_failure, "monitor", None),
+            offset=offset,
+            primary_stats=primary.stats,
+            rung=name,
+            history=tuple(history),
+            epsilon=epsilon,
+            resyncs=resyncs,
+        )
+        return result
+    raise SimulationError(
+        "escalation ladder exhausted: " + " | ".join(history),
+        stats=primary.stats,
+    ) from primary_failure
+
+
 def run_with_fallback(
     protocol_factory: ProtocolFactory,
     inputs: dict[int, Any] | list[Any],
@@ -177,79 +325,32 @@ def run_with_fallback(
     crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
     recovery: RecoveryConfig | bool | None = None,
     guards: WireLimits | bool | None = None,
-    fallback_channel: str = "fallback/hc",
-    fallback_factory: Callable[..., Any] | None = None,
 ) -> ExecutionResult:
     """Run the primary protocol; degrade to ``HighCostCA`` on failure.
 
     The primary execution gets the full resilience stack (monitors,
     transport, crash plane).  On :class:`ProtocolViolation` or
     :class:`SimulationError` the supervisor reruns the *inputs* through
-    ``HighCostCA`` (or ``fallback_factory``) with the same corruption
-    set, and returns that result with ``ExecutionResult.fallback`` set.
+    ``HighCostCA`` on a perfect network with the same corruption set,
+    and returns that result with ``ExecutionResult.fallback`` set.  If
+    that fails too, the ladder is exhausted: a
+    :class:`SimulationError` chained from the primary failure.
     Configuration errors and harness bugs still propagate -- only
     detected protocol misbehaviour degrades.
 
     Requires integer inputs (they are shifted into N for HighCostCA);
     non-integer inputs make the primary failure propagate unchanged.
     """
-    if isinstance(inputs, list):
-        inputs = dict(enumerate(inputs))
-    primary = SynchronousNetwork(
-        protocol_factory=protocol_factory,
-        inputs=inputs,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=adversary,
-        max_rounds=max_rounds,
-        trace=trace,
-        monitors=monitors,
-        transport=transport,
-        crashes=crashes,
-        recovery=recovery,
-        guards=guards,
+    settings = dict(
+        n=n, t=t, kappa=kappa, adversary=adversary, max_rounds=max_rounds,
+        trace=trace, monitors=monitors, transport=transport,
+        crashes=crashes, recovery=recovery, guards=guards,
     )
-    try:
-        return primary.run()
-    except (ProtocolViolation, SimulationError) as failure:
-        try:
-            offset = _offset_into_naturals(inputs)
-        except ConfigurationError:
-            raise failure from None
-        record = FallbackRecord(
-            trigger=type(failure).__name__,
-            detail=str(failure),
-            monitor=getattr(failure, "monitor", None),
-            offset=offset,
-            primary_stats=primary.stats,
-        )
-
-    shifted = {party: value + offset for party, value in inputs.items()}
-    if fallback_factory is None:
-        from ..core.high_cost_ca import high_cost_ca
-
-        fallback_factory = high_cost_ca
-
-    fallback_net = SynchronousNetwork(
-        protocol_factory=lambda ctx, v: fallback_factory(
-            ctx, v, channel=fallback_channel
-        ),
-        inputs=shifted,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=_StaticCorruptions(frozenset(primary.corrupted)),
-        max_rounds=max_rounds,
-        trace=trace,
-        guards=guards,
+    rungs = [("high_cost_ca", partial(_high_cost_ca, transport=None))]
+    return _run_ladder(
+        protocol_factory, inputs, settings, rungs,
+        (ProtocolViolation, SimulationError),
     )
-    result = fallback_net.run()
-    result.outputs = {
-        party: value - offset for party, value in result.outputs.items()
-    }
-    result.fallback = record
-    return result
 
 
 def _offset_into_naturals(inputs: dict[int, Any]) -> int:
@@ -284,7 +385,6 @@ def run_with_escalation(
     recovery: RecoveryConfig | bool | None = None,
     guards: WireLimits | bool | None = None,
     epsilon: Fraction | int = 1,
-    fallback_channel: str = "fallback/hc",
     max_deliveries: int | None = None,
     escalate_on: tuple[type, ...] = (ProtocolViolation, SimulationError),
 ) -> ExecutionResult:
@@ -323,148 +423,26 @@ def run_with_escalation(
     a fired invariant monitor stays a reported protocol bug instead of
     being silently degraded away.
     """
-    if isinstance(inputs, list):
-        inputs = dict(enumerate(inputs))
     if not isinstance(epsilon, (int, Fraction)) or epsilon <= 0:
         raise ConfigurationError(
             f"epsilon must be a positive number, got {epsilon!r}"
         )
-
-    history: list[str] = []
-    primary = SynchronousNetwork(
-        protocol_factory=protocol_factory,
-        inputs=inputs,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=adversary,
-        max_rounds=max_rounds,
-        trace=trace,
-        monitors=monitors,
-        transport=transport,
-        crashes=crashes,
-        recovery=recovery,
-        guards=guards,
+    settings = dict(
+        n=n, t=t, kappa=kappa, adversary=adversary, max_rounds=max_rounds,
+        trace=trace, monitors=monitors, transport=transport,
+        crashes=crashes, recovery=recovery, guards=guards,
     )
-    try:
-        return primary.run()
-    except (ProtocolViolation, SimulationError) as failure:
-        if not isinstance(failure, escalate_on):
-            raise
-        primary_failure = failure
-    resyncs = primary.stats.resync_attempts
-    history.append(
-        f"primary: {type(primary_failure).__name__}: "
-        f"{_clip(str(primary_failure))}"
-    )
-    if resyncs:
-        history.append(
-            f"transport: {resyncs} escalated retr"
-            f"{'y' if resyncs == 1 else 'ies'} before the failure"
-        )
-
-    try:
-        offset = _offset_into_naturals(inputs)
-    except ConfigurationError:
-        raise primary_failure from None
-    shifted = {party: value + offset for party, value in inputs.items()}
-    corrupted = frozenset(primary.corrupted)
-
-    def _record(rung: str, eps: str | None = None) -> FallbackRecord:
-        return FallbackRecord(
-            trigger=type(primary_failure).__name__,
-            detail=str(primary_failure),
-            monitor=getattr(primary_failure, "monitor", None),
-            offset=offset,
-            primary_stats=primary.stats,
-            rung=rung,
-            history=tuple(history),
-            epsilon=eps,
-            resyncs=resyncs,
-        )
-
-    # -- rung 2: HighCostCA over the SAME (possibly broken) transport --
-    from ..core.high_cost_ca import high_cost_ca
-
-    hc_net = SynchronousNetwork(
-        protocol_factory=lambda ctx, v: high_cost_ca(
-            ctx, v, channel=fallback_channel
+    rungs = [
+        ("high_cost_ca", partial(_high_cost_ca, transport=transport)),
+        (
+            "async_aa",
+            partial(
+                _async_aa, epsilon=epsilon, max_deliveries=max_deliveries
+            ),
         ),
-        inputs=shifted,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=_StaticCorruptions(corrupted),
-        max_rounds=max_rounds,
-        trace=trace,
-        transport=transport,
-        guards=guards,
-    )
-    try:
-        result = hc_net.run()
-    except (ProtocolViolation, SimulationError) as hc_failure:
-        history.append(
-            f"high_cost_ca: {type(hc_failure).__name__}: "
-            f"{_clip(str(hc_failure))}"
-        )
-    else:
-        history.append("high_cost_ca: decided")
-        result.outputs = {
-            party: value - offset
-            for party, value in result.outputs.items()
-        }
-        result.fallback = _record("high_cost_ca")
-        return result
-
-    # -- rung 3: asynchronous AA with the corruption set pinned --------
-    t_async = len(corrupted)
-    if 5 * t_async >= n:
-        history.append(
-            f"async_aa: skipped (needs 5t < n, t={t_async}, n={n})"
-        )
-        raise SimulationError(
-            "escalation ladder exhausted: " + " | ".join(history),
-            stats=primary.stats,
-        ) from primary_failure
-
-    from ..asynchrony.aa import AsyncApproximateAgreement
-    from ..asynchrony.network import AsyncNetwork
-
-    bound = max(1, max(shifted.values()))
-    async_net = AsyncNetwork(
-        party_factory=lambda ctx: AsyncApproximateAgreement(
-            ctx, shifted[ctx.party_id], epsilon, bound
-        ),
-        n=n,
-        t=t_async,
-        kappa=kappa,
-        adversary=_PinnedAsyncCorruptions(corrupted),
-        max_deliveries=max_deliveries,
-        guards=guards,
-    )
-    try:
-        async_result = async_net.run()
-    except (ProtocolViolation, SimulationError) as aa_failure:
-        history.append(
-            f"async_aa: {type(aa_failure).__name__}: "
-            f"{_clip(str(aa_failure))}"
-        )
-        raise SimulationError(
-            "escalation ladder exhausted: " + " | ".join(history),
-            stats=primary.stats,
-        ) from primary_failure
-
-    history.append(f"async_aa: decided (eps={epsilon})")
-    return ExecutionResult(
-        n=n,
-        t=t,
-        outputs={
-            party: value - offset
-            for party, value in async_result.outputs.items()
-        },
-        corrupted=corrupted,
-        stats=async_result.stats,
-        fallback=_record("async_aa", eps=str(Fraction(epsilon))),
+    ]
+    return _run_ladder(
+        protocol_factory, inputs, settings, rungs, escalate_on
     )
 
 

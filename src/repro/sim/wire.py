@@ -30,10 +30,10 @@ Design constraints, all load-bearing:
   the ``guard_*`` perf counters -- never on ``honest_bits``, which
   remains the paper's BITS_l(PI) measure.
 
-The guard is only consulted for byzantine-origin traffic (general-path
-delivery in :class:`~repro.sim.network.SynchronousNetwork` and
-byzantine injections in :class:`~repro.asynchrony.network.AsyncNetwork`);
-the zero-fault fast path never touches it.
+The guard is only consulted for byzantine-origin traffic (the adversary
+stage of :class:`~repro.sim.network.SynchronousNetwork` and byzantine
+injections in :class:`~repro.asynchrony.network.AsyncNetwork`); a
+lockstep run without the adversary stage never touches it.
 """
 
 from __future__ import annotations
